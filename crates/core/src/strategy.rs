@@ -457,6 +457,13 @@ fn partition_memo() -> &'static Mutex<HashMap<PartitionMemoKey, DividedPartition
 
 static PARTITION_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
 
+/// Graph fingerprints the memo was consulted for, hit or miss. Unit tests
+/// share the process-wide memo across threads, so a test proves that a
+/// divide bypassed the memo by finding its own graph's fingerprint
+/// absent here, not by watching the global hit counter.
+#[cfg(test)]
+static MEMO_LOOKUPS: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+
 /// Process-wide count of candidate partitions the auto lookahead reused
 /// from the memo instead of recomputing (monotonic; exposed for tests
 /// and throughput reporting).
@@ -497,6 +504,8 @@ fn memoized_partition_for_divide(
 ) -> Result<DividedPartition, PartitionError> {
     let key =
         (graph_fingerprint(g), g.num_nodes(), g.edges().len(), strategy.label().to_string(), cap);
+    #[cfg(test)]
+    MEMO_LOOKUPS.lock().expect("memo lookup log poisoned").push(key.0);
     if let Some(hit) = partition_memo().lock().expect("partition memo poisoned").get(&key) {
         PARTITION_MEMO_HITS.fetch_add(1, Ordering::Relaxed);
         return Ok(hit.clone());
@@ -867,7 +876,6 @@ mod tests {
         // and say so in the outcome.
         let g = generators::erdos_renyi_fast(60_000, 6.7e-5, WeightKind::Uniform, 99);
         assert!(auto::probe(&g).is_large(), "test instance must cross the gate");
-        let memo_before = partition_memo_hits();
         let d =
             divide(&g, 4_000, &PartitionStrategy::Auto, 0, &RefineConfig::default(), 7).unwrap();
         assert!(d.size_gated, "large instance must attribute the gate");
@@ -882,13 +890,20 @@ mod tests {
         );
         assert!(d.partition.max_community_size() <= 4_000);
         assert!(d.partition.len() >= 15, "cap 4000 on 60k nodes needs ≥ 15 communities");
-        // the gated path must not have touched the partition memo
-        assert_eq!(partition_memo_hits(), memo_before);
         // and a second identical divide reproduces the same selection
         let again =
             divide(&g, 4_000, &PartitionStrategy::Auto, 0, &RefineConfig::default(), 7).unwrap();
         assert_eq!(d.effective, again.effective);
         assert_eq!(d.partition, again.partition);
+        // neither gated divide touched the partition memo for this graph:
+        // no lookup (so no hit) and no entry. Other tests in the binary
+        // use the memo concurrently, so the global counters prove nothing.
+        let fp = graph_fingerprint(&g);
+        assert!(!MEMO_LOOKUPS.lock().unwrap().contains(&fp), "gated divide consulted the memo");
+        assert!(
+            !partition_memo().lock().unwrap().keys().any(|k| k.0 == fp),
+            "gated divide left a memo entry"
+        );
 
         // small instances stay ungated: lookahead ranking, no gate flag
         let small = generators::erdos_renyi(40, 0.2, WeightKind::Uniform, 1);

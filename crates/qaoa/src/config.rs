@@ -43,8 +43,6 @@ pub struct QaoaConfig {
     pub policy: SolutionPolicy,
     /// Circuit-synthesis preference.
     pub preference: Preference,
-    /// Use the fused diagonal cost layer (aer-style optimization).
-    pub fused_cost_layer: bool,
     /// Master seed: derives shot-sampling and extraction randomness.
     pub seed: u64,
     /// Optional explicit initial parameters `[γ…, β…]`; default is the
@@ -62,7 +60,6 @@ impl Default for QaoaConfig {
             objective: ObjectiveMode::Shots,
             policy: SolutionPolicy::HighestAmplitude,
             preference: Preference::Depth,
-            fused_cost_layer: true,
             seed: 0,
             initial_params: None,
         }

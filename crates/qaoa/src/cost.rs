@@ -16,6 +16,40 @@ use rayon::prelude::*;
 pub struct CostTable {
     values: Vec<f64>,
     num_qubits: usize,
+    /// `Some((min, span))` when every cost is an integer in
+    /// `min..=min + span` with `span < 2^n` (see [`integer_range`]): the
+    /// cost layer then looks its phases up in a per-layer table of
+    /// `span + 1` entries.
+    integer_range: Option<(f64, usize)>,
+}
+
+/// Amplitudes per parallel task of the cost layer (256 KiB of state).
+const LAYER_GRAIN: usize = 1 << 14;
+
+/// Largest magnitude at which every integer cost, and every difference of
+/// two of them below `2^n`, is exact in `f64`.
+const MAX_EXACT_INTEGER: f64 = (1u64 << 52) as f64;
+
+/// `(min, max − min)` when the phase-table path applies: every value is a
+/// finite integer of magnitude at most [`MAX_EXACT_INTEGER`], none is
+/// `-0.0`, and `max − min < values.len()`, so the table is never longer
+/// than the register. Then `min + (c − min)` reproduces `c` bit for bit.
+/// Weighted (non-integral) costs fail on their first fractional value.
+fn integer_range(values: &[f64]) -> Option<(f64, usize)> {
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for &c in values {
+        // NaN and infinite costs fail the magnitude test; below it the
+        // i64 round trip is exact for integers and truncates the rest.
+        // CAST: |c| ≤ 2^52 is checked first, so c fits i64.
+        let exact_integer = c.abs() <= MAX_EXACT_INTEGER && c as i64 as f64 == c;
+        if !exact_integer || c.to_bits() == (-0.0f64).to_bits() {
+            return None;
+        }
+        lo = lo.min(c);
+        hi = hi.max(c);
+    }
+    // CAST: kept only when hi − lo is an exact integer below values.len().
+    (hi - lo < values.len() as f64).then_some((lo, (hi - lo) as usize))
 }
 
 impl CostTable {
@@ -31,7 +65,8 @@ impl CostTable {
         // independently, nothing is combined across chunks.
         let values: Vec<f64> =
             (0..size as u64).into_par_iter().map(|z| model.eval_basis(z)).collect();
-        CostTable { values, num_qubits: n }
+        let integer_range = integer_range(&values);
+        CostTable { values, num_qubits: n, integer_range }
     }
 
     /// Number of qubits.
@@ -43,6 +78,13 @@ impl CostTable {
     #[inline]
     pub fn value(&self, z: u64) -> f64 {
         self.values[z as usize]
+    }
+
+    /// Whether [`CostTable::apply_cost_layer`] takes its phases from a
+    /// per-layer table (every cost an integer in a range shorter than the
+    /// register).
+    pub fn has_phase_table(&self) -> bool {
+        self.integer_range.is_some()
     }
 
     /// Full table.
@@ -61,11 +103,41 @@ impl CostTable {
     }
 
     /// Apply the fused cost layer `|ψ⟩ ← e^{−iγ·C} |ψ⟩` in one pass.
+    ///
+    /// Integer costs (every unit-weight graph, and integer-weighted merge
+    /// graphs with negative weights) take `cis(−γ·k)` from a phase table
+    /// with one entry per value `k` in `min..=max`, indexed by `c − min`.
+    /// Each entry is the `cis` of the very argument the per-amplitude path
+    /// would compute (`min + (c − min)` is `c` exactly), so both paths
+    /// give bit-identical states; the table only saves the trigonometry.
+    /// Other costs evaluate `cis(−γ·c)` per amplitude.
     pub fn apply_cost_layer(&self, state: &mut StateVector, gamma: f64) {
         assert_eq!(state.num_qubits(), self.num_qubits, "register width mismatch");
-        state.amplitudes_mut().par_iter_mut().zip(self.values.par_iter()).for_each(|(a, &c)| {
-            *a *= C64::cis(-gamma * c);
+        let phases: Option<(f64, Vec<C64>)> = self.integer_range.map(|(min, span)| {
+            (min, (0..=span).map(|k| C64::cis(-gamma * (min + k as f64))).collect())
         });
+        let layer = |amps: &mut [C64], costs: &[f64]| match &phases {
+            Some((min, phases)) => {
+                for (a, &c) in amps.iter_mut().zip(costs) {
+                    // CAST: integer_range bounds every c − min to 0..=span,
+                    // an exact non-negative integer, so the index is exact.
+                    *a *= phases[(c - min) as usize];
+                }
+            }
+            None => {
+                for (a, &c) in amps.iter_mut().zip(costs) {
+                    *a *= C64::cis(-gamma * c);
+                }
+            }
+        };
+        // each amplitude's update depends on its own cost alone, so the
+        // chunking is invisible in the result
+        state
+            .amplitudes_mut()
+            .par_chunks_mut(LAYER_GRAIN)
+            .zip(self.values.par_chunks(LAYER_GRAIN))
+            .with_min_len(1)
+            .for_each(|(amps, costs)| layer(amps, costs));
     }
 
     /// Exact ⟨C⟩ under `state`.

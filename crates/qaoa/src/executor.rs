@@ -1,9 +1,10 @@
 //! Ansatz execution: build `|ψ_p(β, γ)⟩` for a parameter vector.
 //!
-//! Two interchangeable paths (verified equivalent in tests):
-//! the fused diagonal path (default — used by the optimizer loop) and the
-//! synthesized gate circuit (used when circuit metrics are requested, and
-//! as the fidelity reference).
+//! Solvers build every state with [`build_state_fused`]: per layer, the
+//! cost layer from the precomputed [`CostTable`] and the RX mixer wall
+//! (DESIGN.md, "The QAOA state kernel"). [`build_state_circuit`] executes
+//! the synthesized gate circuit instead; it is the fidelity reference in
+//! tests, and [`circuit_metrics`] reports that circuit's shape.
 
 use crate::cost::CostTable;
 use qq_circuit::{AnsatzParams, CostModel, Preference, Synthesizer};
@@ -12,16 +13,14 @@ use qq_sim::StateVector;
 /// Build the QAOA state with the fused cost layer.
 ///
 /// Per layer: one `e^{−iγC}` pass from the table, then the mixer wall
-/// `RX(2β)` on every qubit.
+/// `RX(2β)` on every qubit. Bit-identical to applying `cis(−γ·C(z))` per
+/// amplitude and the generic `RX(2β)` matrix qubit by qubit.
 pub fn build_state_fused(table: &CostTable, params: &AnsatzParams) -> StateVector {
     let n = table.num_qubits();
     let mut state = StateVector::plus_state(n);
     for (&gamma, &beta) in params.gammas.iter().zip(&params.betas) {
         table.apply_cost_layer(&mut state, gamma);
-        let theta = 2.0 * beta;
-        for q in 0..n {
-            state.rx(q, theta);
-        }
+        state.rx_all(2.0 * beta);
     }
     state
 }

@@ -54,6 +54,9 @@ pub enum GraphError {
     SelfLoop { node: NodeId },
     /// The same unordered pair appeared twice.
     DuplicateEdge { u: NodeId, v: NodeId },
+    /// An edge weight is NaN or infinite. Every cut value, cost table and
+    /// partition score would inherit it, so it is rejected on entry.
+    NonFiniteWeight { u: NodeId, v: NodeId },
     /// Parse failure in [`crate::io`].
     Parse { line: usize, message: String },
 }
@@ -66,6 +69,9 @@ impl fmt::Display for GraphError {
             }
             GraphError::SelfLoop { node } => write!(f, "self-loop on node {node} rejected"),
             GraphError::DuplicateEdge { u, v } => write!(f, "duplicate edge ({u}, {v})"),
+            GraphError::NonFiniteWeight { u, v } => {
+                write!(f, "edge ({u}, {v}) has a non-finite weight")
+            }
             GraphError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
             }
@@ -74,6 +80,24 @@ impl fmt::Display for GraphError {
 }
 
 impl std::error::Error for GraphError {}
+
+/// The per-edge checks every construction path applies: both endpoints
+/// in range, no self-loop, a finite weight.
+fn check_edge(n: usize, u: NodeId, v: NodeId, w: f64) -> crate::Result<()> {
+    if (u as usize) >= n {
+        return Err(GraphError::NodeOutOfRange { node: u, num_nodes: n });
+    }
+    if (v as usize) >= n {
+        return Err(GraphError::NodeOutOfRange { node: v, num_nodes: n });
+    }
+    if u == v {
+        return Err(GraphError::SelfLoop { node: u });
+    }
+    if !w.is_finite() {
+        return Err(GraphError::NonFiniteWeight { u: u.min(v), v: u.max(v) });
+    }
+    Ok(())
+}
 
 /// Streaming construction for [`Graph`]: append edges freely (O(1) each,
 /// range and self-loop checked immediately), then [`GraphBuilder::finalize`]
@@ -130,20 +154,11 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Append one undirected edge. O(1): range and self-loop violations
-    /// error immediately; duplicate pairs are detected by
-    /// [`GraphBuilder::finalize`]'s sort (no per-insert scan).
+    /// Append one undirected edge. O(1): range, self-loop and non-finite
+    /// weight violations error immediately; duplicate pairs are detected
+    /// by [`GraphBuilder::finalize`]'s sort (no per-insert scan).
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: f64) -> crate::Result<()> {
-        let n = self.num_nodes;
-        if (u as usize) >= n {
-            return Err(GraphError::NodeOutOfRange { node: u, num_nodes: n });
-        }
-        if (v as usize) >= n {
-            return Err(GraphError::NodeOutOfRange { node: v, num_nodes: n });
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop { node: u });
-        }
+        check_edge(self.num_nodes, u, v, w)?;
         let (a, b) = if u < v { (u, v) } else { (v, u) };
         self.edges.push(Edge { u: a, v: b, w });
         Ok(())
@@ -384,16 +399,7 @@ impl Graph {
     /// costs `O(n + m)` per call — bulk construction belongs in
     /// [`GraphBuilder`], which is linear overall.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: f64) -> crate::Result<()> {
-        let n = self.num_nodes;
-        if (u as usize) >= n {
-            return Err(GraphError::NodeOutOfRange { node: u, num_nodes: n });
-        }
-        if (v as usize) >= n {
-            return Err(GraphError::NodeOutOfRange { node: v, num_nodes: n });
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop { node: u });
-        }
+        check_edge(self.num_nodes, u, v, w)?;
         if self.neighbor_index(u, v).is_ok() {
             return Err(GraphError::DuplicateEdge { u: u.min(v), v: u.max(v) });
         }
@@ -583,6 +589,7 @@ mod tests {
     fn rejects_self_loop() {
         let mut g = Graph::new(2);
         assert_eq!(g.add_edge(1, 1, 1.0), Err(GraphError::SelfLoop { node: 1 }));
+        assert_eq!(g.add_edge(1, 0, f64::NAN), Err(GraphError::NonFiniteWeight { u: 0, v: 1 }));
     }
 
     #[test]
@@ -679,6 +686,9 @@ mod tests {
             Err(GraphError::NodeOutOfRange { node: 3, num_nodes: 3 })
         );
         assert_eq!(b.add_edge(2, 2, 1.0), Err(GraphError::SelfLoop { node: 2 }));
+        for w in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(b.add_edge(2, 1, w), Err(GraphError::NonFiniteWeight { u: 1, v: 2 }));
+        }
     }
 
     #[test]

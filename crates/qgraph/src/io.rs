@@ -280,6 +280,20 @@ mod tests {
     use std::io::BufReader;
 
     #[test]
+    fn non_finite_weights_are_rejected_by_both_readers() {
+        // once accepted, this input solved to cut_value = inf
+        let text = "3 2\n1 2 NaN\n2 3 inf\n";
+        let nan_edge = GraphError::NonFiniteWeight { u: 0, v: 1 };
+        assert_eq!(read_gset(BufReader::new(text.as_bytes())).unwrap_err(), nan_edge);
+        assert_eq!(read_edge_list(BufReader::new(text.as_bytes())).unwrap_err(), nan_edge);
+        let inf_only = "3 2\n1 2 1.5\n2 3 -inf\n";
+        assert_eq!(
+            read_gset(BufReader::new(inf_only.as_bytes())).unwrap_err(),
+            GraphError::NonFiniteWeight { u: 1, v: 2 }
+        );
+    }
+
+    #[test]
     fn roundtrip() {
         let g = generators::erdos_renyi(15, 0.3, WeightKind::Random01, 77);
         let mut buf = Vec::new();

@@ -119,13 +119,26 @@ impl BlockedState {
 
     /// Apply a single-qubit unitary to qubit `q`.
     pub fn apply_1q(&mut self, q: usize, m: &Mat2) -> Result<(), SimError> {
+        self.pairwise(
+            q,
+            |chunk| gates::apply_1q(chunk, q, m),
+            |lo, hi| gates::apply_1q_paired(lo, hi, m),
+        )
+    }
+
+    /// Run a single-qubit kernel on qubit `q`: `local` on every chunk
+    /// when `q` is chunk-local, otherwise `paired` on every chunk pair
+    /// that differs in chunk bit `q − chunk_qubits`.
+    fn pairwise(
+        &mut self,
+        q: usize,
+        local: impl Fn(&mut [C64]) + Sync,
+        paired: impl Fn(&mut [C64], &mut [C64]) + Sync,
+    ) -> Result<(), SimError> {
         self.check_qubit(q)?;
         if q < self.chunk_qubits {
             // chunk-local: each cache-sized chunk is one coarse work item
-            self.chunks
-                .par_iter_mut()
-                .with_min_len(1)
-                .for_each(|chunk| gates::apply_1q(chunk, q, m));
+            self.chunks.par_iter_mut().with_min_len(1).for_each(|chunk| local(chunk));
             self.stats.local_chunk_ops += self.chunks.len() as u64;
         } else {
             // chunk-pair: groups of 2^(b+1) chunks pair first/second halves.
@@ -148,7 +161,7 @@ impl BlockedState {
                 // `p` ↦ (group, offset) is a bijection onto the lo side —
                 // so each chunk is mutably borrowed by exactly one task,
                 // and `base` outlives the parallel scope.
-                unsafe { gates::apply_1q_paired(&mut *base.0.add(lo), &mut *base.0.add(hi), m) };
+                unsafe { paired(&mut *base.0.add(lo), &mut *base.0.add(hi)) };
             });
             self.stats.pair_exchanges += pairs as u64;
             self.stats.bytes_exchanged += pairs as u64 * 2 * chunk_bytes;
@@ -161,9 +174,14 @@ impl BlockedState {
         self.apply_1q(q, &gates::h_matrix())
     }
 
-    /// `RX(θ)` — the QAOA mixer gate.
+    /// `RX(θ)` — the QAOA mixer gate, through the same specialised
+    /// kernel as [`crate::StateVector::rx`].
     pub fn rx(&mut self, q: usize, theta: f64) -> Result<(), SimError> {
-        self.apply_1q(q, &gates::rx_matrix(theta))
+        self.pairwise(
+            q,
+            |chunk| gates::apply_rx(chunk, q, theta),
+            |lo, hi| gates::apply_rx_paired(lo, hi, theta),
+        )
     }
 
     /// `RZ(θ)` — diagonal, always chunk-local.
@@ -292,15 +310,9 @@ impl BlockedState {
     /// Multinomial shot sampling (matches
     /// [`crate::measure::sample_counts`] on the flattened state).
     pub fn sample_counts(&self, shots: usize, seed: u64) -> Vec<(u64, u32)> {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut points: Vec<f64> = (0..shots).map(|_| rng.gen::<f64>()).collect();
-        // INVARIANT: rng.gen::<f64>() yields finite values in [0, 1),
-        // so partial_cmp never sees a NaN.
-        points.sort_by(|a, b| a.partial_cmp(b).expect("uniforms are finite"));
         measure::sweep_sorted_points(
             self.chunks.iter().flat_map(|c| c.iter().map(|a| a.norm_sqr())),
-            &points,
+            &measure::sorted_uniforms(shots, seed),
         )
     }
 

@@ -115,6 +115,104 @@ pub fn apply_1q_paired(lo: &mut [C64], hi: &mut [C64], m: &Mat2) {
     }
 }
 
+/// `RX(θ)` on qubit `q` of an amplitude slice — the QAOA mixer kernel.
+///
+/// Specialised to RX's structure: with `(s, c) = sin_cos(θ/2)`, each pair
+/// `(a, b)` becomes `a' = (c·a.re + s·b.im, c·a.im − s·b.re)` and
+/// `b' = (s·a.im + c·b.re, c·b.im − s·a.re)` — 8 multiplies and 4 adds
+/// against the generic kernel's 16 and 12. These are, operation for
+/// operation, the products and sums [`apply_1q`] computes with
+/// [`rx_matrix`] once its exact-zero terms are dropped (`x·0` and
+/// `x − (−y) = x + y` are exact), with no FMA contraction and no
+/// reassociation. Every amplitude therefore comes out bit-identical to
+/// the generic kernel's. The one exception is the sign of an exact zero
+/// (adding a dropped `±0` term can flip it), and through additions,
+/// multiplications and `|a|²` a zero's sign never reaches a non-zero
+/// value.
+pub fn apply_rx(amps: &mut [C64], q: usize, theta: f64) {
+    let n = amps.len();
+    let stride = 1usize << q;
+    debug_assert!(n.is_power_of_two() && stride < n);
+    let (s, c) = (theta / 2.0).sin_cos();
+    if stride == 1 {
+        let ns = std::hint::black_box(-s);
+        for pair in amps.chunks_exact_mut(2) {
+            (pair[0], pair[1]) = rx_pair(pair[0], pair[1], c, s, ns);
+        }
+    } else {
+        for block in amps.chunks_exact_mut(stride << 1) {
+            let (lo, hi) = block.split_at_mut(stride);
+            rx_paired(lo, hi, c, s);
+        }
+    }
+}
+
+/// `RX(θ)` on each of `qubits`, in ascending order — the QAOA mixer wall,
+/// or the part of it local to `amps` (`2^qubits.end ≤ amps.len()`).
+///
+/// Two qubits share one sweep: each group of four amplitudes that differ
+/// in bits `q` and `q + 1` is loaded once, takes the `q` pair updates and
+/// then the `q + 1` pair updates, and is stored once. Every amplitude
+/// sees exactly the operations, in the order, that [`apply_rx`] on `q`
+/// and then on `q + 1` would apply, so the result is bit-identical to
+/// one [`apply_rx`] sweep per qubit with half the memory traffic.
+pub fn apply_rx_wall(amps: &mut [C64], qubits: std::ops::Range<usize>, theta: f64) {
+    debug_assert!(qubits.end == 0 || (1usize << qubits.end) <= amps.len());
+    let (s, c) = (theta / 2.0).sin_cos();
+    let ns = std::hint::black_box(-s);
+    let mut q = qubits.start;
+    while q + 1 < qubits.end {
+        let stride = 1usize << q;
+        for block in amps.chunks_exact_mut(stride << 2) {
+            let (lo, hi) = block.split_at_mut(stride << 1);
+            let (a0, a1) = lo.split_at_mut(stride);
+            let (a2, a3) = hi.split_at_mut(stride);
+            for (((x0, x1), x2), x3) in
+                a0.iter_mut().zip(a1.iter_mut()).zip(a2.iter_mut()).zip(a3.iter_mut())
+            {
+                let (y0, y1) = rx_pair(*x0, *x1, c, s, ns);
+                let (y2, y3) = rx_pair(*x2, *x3, c, s, ns);
+                (*x0, *x2) = rx_pair(y0, y2, c, s, ns);
+                (*x1, *x3) = rx_pair(y1, y3, c, s, ns);
+            }
+        }
+        q += 2;
+    }
+    if q < qubits.end {
+        apply_rx(amps, q, theta);
+    }
+}
+
+/// [`apply_rx`] across a chunk pair (see [`apply_1q_paired`]).
+pub fn apply_rx_paired(lo: &mut [C64], hi: &mut [C64], theta: f64) {
+    debug_assert_eq!(lo.len(), hi.len());
+    let (s, c) = (theta / 2.0).sin_cos();
+    rx_paired(lo, hi, c, s);
+}
+
+#[inline(always)]
+fn rx_paired(lo: &mut [C64], hi: &mut [C64], c: f64, s: f64) {
+    let ns = std::hint::black_box(-s);
+    for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+        (*a, *b) = rx_pair(*a, *b, c, s, ns);
+    }
+}
+
+/// One RX pair update, written lane-symmetric — `a' = c·a + (s, −s)·(b.im,
+/// b.re)` and the same with `a`, `b` swapped — so LLVM keeps each complex
+/// in one SIMD register. `x + (−s)·y` is `x − s·y` exactly and `+`
+/// commutes, so these are the formulas documented on [`apply_rx`].
+/// Callers pass `ns = black_box(−s)`: a known `−s` would be folded back
+/// into `x − s·y`, which costs an add, a subtract and a blend per lane
+/// pair instead of one add.
+#[inline(always)]
+fn rx_pair(a: C64, b: C64, c: f64, s: f64, ns: f64) -> (C64, C64) {
+    (
+        C64::new(c * a.re + s * b.im, c * a.im + ns * b.re),
+        C64::new(c * b.re + s * a.im, c * b.im + ns * a.re),
+    )
+}
+
 /// Apply `RZ(θ)` to qubit `q` — diagonal, so done in a single pass without
 /// pairing (cheaper than the generic kernel).
 pub fn apply_rz(amps: &mut [C64], base_index: u64, q: usize, theta: f64) {
@@ -519,6 +617,42 @@ mod tests {
 
     fn ramp_state(n: usize) -> Vec<C64> {
         (0..n).map(|i| C64::new(1.0 + 0.1 * i as f64, -0.05 * i as f64)).collect()
+    }
+
+    /// Bit patterns, with `-0.0` read as `+0.0`: the specialised RX
+    /// kernels may flip the sign of an exact zero (see [`apply_rx`]), and
+    /// `ramp_state(_)[0]` has a `-0.0` imaginary part, which `θ = 0`
+    /// passes straight through.
+    fn bits(amps: &[C64]) -> Vec<(u64, u64)> {
+        amps.iter().map(|a| ((a.re + 0.0).to_bits(), (a.im + 0.0).to_bits())).collect()
+    }
+
+    #[test]
+    fn rx_kernels_are_bit_identical_to_the_generic_matrix() {
+        for theta in [0.77, -2.1, 0.0, std::f64::consts::PI, 9.4] {
+            for q in 0..5 {
+                let mut generic = ramp_state(32);
+                apply_1q(&mut generic, q, &rx_matrix(theta));
+                let mut rx = ramp_state(32);
+                apply_rx(&mut rx, q, theta);
+                assert_eq!(bits(&rx), bits(&generic), "q = {q}, θ = {theta}");
+            }
+            let (mut lo, mut hi) = (ramp_state(16), ramp_state(32)[16..].to_vec());
+            let (mut glo, mut ghi) = (lo.clone(), hi.clone());
+            apply_rx_paired(&mut lo, &mut hi, theta);
+            apply_1q_paired(&mut glo, &mut ghi, &rx_matrix(theta));
+            assert_eq!((bits(&lo), bits(&hi)), (bits(&glo), bits(&ghi)), "paired, θ = {theta}");
+            // the two-qubits-per-sweep wall, odd and even qubit counts
+            for qubits in [0..5, 1..5, 2..3] {
+                let mut wall = ramp_state(32);
+                apply_rx_wall(&mut wall, qubits.clone(), theta);
+                let mut each = ramp_state(32);
+                for q in qubits.clone() {
+                    apply_1q(&mut each, q, &rx_matrix(theta));
+                }
+                assert_eq!(bits(&wall), bits(&each), "qubits {qubits:?}, θ = {theta}");
+            }
+        }
     }
 
     #[test]

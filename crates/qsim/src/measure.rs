@@ -9,7 +9,7 @@
 
 use crate::complex::C64;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use rayon::prelude::*;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -39,40 +39,73 @@ pub fn expectation_from_table(amps: &[C64], table: &[f64]) -> f64 {
 /// with the sorted-uniforms sweep: `O(2^n + shots·log shots)` and no
 /// cumulative-probability allocation, so it works for large registers.
 pub fn sample_counts(amps: &[C64], shots: usize, seed: u64) -> Vec<(u64, u32)> {
+    sweep_sorted_points(amps.iter().map(|a| a.norm_sqr()), &sorted_uniforms(shots, seed))
+}
+
+/// `shots` uniforms in `[0, 1)` from `seed`, sorted ascending — the
+/// sample points every shot sampler sweeps.
+///
+/// Each point is the value `rng.gen::<f64>()` would return: a 53-bit key
+/// `next_u64() >> 11` scaled by `2^-53`. The keys are sorted as integers
+/// before scaling; the scaling is exact and strictly monotone, so the
+/// result equals sorting the `f64` draws, at integer-sort speed.
+pub(crate) fn sorted_uniforms(shots: usize, seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut points: Vec<f64> = (0..shots).map(|_| rng.gen::<f64>()).collect();
-    // INVARIANT: rng.gen::<f64>() yields finite values in [0, 1), so
-    // partial_cmp never sees a NaN.
-    points.sort_by(|a, b| a.partial_cmp(b).expect("uniforms are finite"));
-    sweep_sorted_points(amps.iter().map(|a| a.norm_sqr()), &points)
+    let mut keys: Vec<u64> = (0..shots).map(|_| rng.next_u64() >> 11).collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|k| k as f64 * (1.0 / (1u64 << 53) as f64)).collect()
 }
 
 /// Shared sweep: walk probabilities once, consuming sorted sample points.
+///
+/// Basis state `z` receives every point below the running sum of
+/// `P(0..=z)` not taken by an earlier state. The points below the sum are
+/// a prefix of the rest (they are sorted), so they are counted four
+/// comparisons at a time. Each state's `(z, count)` is written to a small
+/// staging buffer unconditionally and kept only when the count is
+/// non-zero: shot counts per state are close to random, so a branch on
+/// them would mispredict about every other state.
 pub(crate) fn sweep_sorted_points(
     probs: impl Iterator<Item = f64>,
     points: &[f64],
 ) -> Vec<(u64, u32)> {
+    let shots = points.len();
     let mut out: Vec<(u64, u32)> = Vec::new();
+    let mut staged = [(0u64, 0u32); 64];
+    let mut kept = 0usize;
     let mut acc = 0.0f64;
     let mut next = 0usize;
+    let below = |i: usize, acc: f64| points.get(i).map_or(0, |&x| usize::from(x < acc));
     for (z, p) in probs.enumerate() {
-        if next >= points.len() {
+        if next >= shots {
             break;
         }
         acc += p;
-        let mut count = 0u32;
-        while next < points.len() && points[next] < acc {
-            count += 1;
-            next += 1;
+        let start = next;
+        loop {
+            let k = below(next, acc)
+                + below(next + 1, acc)
+                + below(next + 2, acc)
+                + below(next + 3, acc);
+            next += k;
+            if k < 4 {
+                break;
+            }
         }
-        if count > 0 {
-            out.push((z as u64, count));
+        // CAST: a count is at most `shots`, which callers keep in u32.
+        staged[kept] = (z as u64, (next - start) as u32);
+        kept += usize::from(next > start);
+        if kept == staged.len() {
+            out.extend_from_slice(&staged);
+            kept = 0;
         }
     }
+    out.extend_from_slice(&staged[..kept]);
     // numerical shortfall (norm slightly below the largest uniform):
     // assign stragglers to the last basis state, preserving shot count.
-    if next < points.len() {
-        let remaining = (points.len() - next) as u32;
+    if next < shots {
+        // CAST: as above, the straggler count is at most `shots`.
+        let remaining = (shots - next) as u32;
         match out.last_mut() {
             Some(last) => last.1 += remaining,
             None => out.push((0, remaining)),
@@ -173,6 +206,27 @@ mod tests {
         let counts = sample_counts(s.amplitudes(), shots, 11);
         let total: u32 = counts.iter().map(|&(_, c)| c).sum();
         assert_eq!(total as usize, shots);
+    }
+
+    #[test]
+    fn sorted_uniforms_equal_sorted_float_draws() {
+        use rand::Rng;
+        for (shots, seed) in [(0, 1), (1, 2), (4096, 3), (50_000, 4)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut want: Vec<f64> = (0..shots).map(|_| rng.gen::<f64>()).collect();
+            want.sort_by(f64::total_cmp);
+            let got = sorted_uniforms(shots, seed);
+            assert!(got.iter().map(|x| x.to_bits()).eq(want.iter().map(|x| x.to_bits())));
+        }
+    }
+
+    #[test]
+    fn sweep_counts_runs_longer_than_the_four_wide_compare() {
+        // one state takes every point: the counting loop must run on
+        // past its four-wide step, and stragglers land on the last state
+        let points: Vec<f64> = (0..11).map(|i| i as f64 / 11.0).collect();
+        assert_eq!(sweep_sorted_points([0.5, 0.5].into_iter(), &points), vec![(0, 6), (1, 5)]);
+        assert_eq!(sweep_sorted_points([0.25, 0.25].into_iter(), &points), vec![(0, 3), (1, 8)]);
     }
 
     #[test]

@@ -107,15 +107,7 @@ impl StateVector {
         // INVARIANT: documented precondition panic — callers must pass
         // qubit indices < num_qubits (see SimError::QubitOutOfRange).
         self.check_qubit(q).expect("qubit in range");
-        let block = 1usize << (q + 1);
-        if block >= self.amps.len() || self.amps.len() <= PAR_GRAIN {
-            gates::apply_1q(&mut self.amps, q, m);
-        } else {
-            // blocks of 2^(q+1) are self-contained for a gate on qubit q
-            self.amps
-                .par_chunks_mut(block.max(PAR_GRAIN))
-                .for_each(|chunk| gates::apply_1q(chunk, q, m));
-        }
+        self.par_blocks(q, |chunk| gates::apply_1q(chunk, q, m));
     }
 
     /// Hadamard on qubit `q`.
@@ -128,9 +120,32 @@ impl StateVector {
         self.apply_1q(q, &gates::x_matrix());
     }
 
-    /// `RX(θ)` on qubit `q` — the QAOA mixer gate.
+    /// `RX(θ)` on qubit `q` — the QAOA mixer gate, through the
+    /// specialised [`gates::apply_rx`] kernel (the same amplitudes as
+    /// `apply_1q(q, &rx_matrix(θ))`, at about half the arithmetic).
     pub fn rx(&mut self, q: usize, theta: f64) {
-        self.apply_1q(q, &gates::rx_matrix(theta));
+        // INVARIANT: documented precondition panic — callers must pass
+        // qubit indices < num_qubits (see SimError::QubitOutOfRange).
+        self.check_qubit(q).expect("qubit in range");
+        self.par_blocks(q, |chunk| gates::apply_rx(chunk, q, theta));
+    }
+
+    /// `RX(θ)` on every qubit, in ascending order — the QAOA mixer
+    /// `e^{−iθ/2·ΣX}`. Bit-identical to `rx(q, θ)` for `q = 0..n`: the
+    /// qubits inside a `PAR_GRAIN` chunk run back to back on each chunk
+    /// while it is cache-resident, the rest two per sweep (see
+    /// [`gates::apply_rx_wall`]); every amplitude still takes its qubits'
+    /// updates in ascending order.
+    pub fn rx_all(&mut self, theta: f64) {
+        let n = self.num_qubits;
+        let local = n.min(PAR_GRAIN.trailing_zeros() as usize);
+        if local > 0 {
+            self.par_blocks(local - 1, |chunk| gates::apply_rx_wall(chunk, 0..local, theta));
+        }
+        for q in (local..n).step_by(2) {
+            let top = (q + 1).min(n - 1);
+            self.par_blocks(top, |chunk| gates::apply_rx_wall(chunk, q..top + 1, theta));
+        }
     }
 
     /// `RY(θ)` on qubit `q`.
@@ -180,14 +195,7 @@ impl StateVector {
         // qubit indices < num_qubits (see SimError::QubitOutOfRange).
         self.check_qubit(t).expect("qubit in range");
         assert_ne!(c, t, "cnot needs two distinct qubits");
-        let block = 1usize << (c.max(t) + 1);
-        if block >= self.amps.len() || self.amps.len() <= PAR_GRAIN {
-            gates::apply_cnot(&mut self.amps, c, t);
-        } else {
-            self.amps
-                .par_chunks_mut(block.max(PAR_GRAIN))
-                .for_each(|chunk| gates::apply_cnot(chunk, c, t));
-        }
+        self.par_blocks(c.max(t), |chunk| gates::apply_cnot(chunk, c, t));
     }
 
     /// Global phase `e^{iφ}`.
@@ -241,6 +249,17 @@ impl StateVector {
             sweeps += 1;
         }
         sweeps
+    }
+
+    /// Run a pairing kernel whose highest qubit is `q` over parallel
+    /// blocks: blocks of `2^(q+1)` amplitudes are self-contained for it.
+    fn par_blocks(&mut self, q: usize, f: impl Fn(&mut [C64]) + Send + Sync) {
+        let block = 1usize << (q + 1);
+        if block >= self.amps.len() || self.amps.len() <= PAR_GRAIN {
+            f(&mut self.amps);
+        } else {
+            self.amps.par_chunks_mut(block.max(PAR_GRAIN)).for_each(f);
+        }
     }
 
     /// Run a diagonal kernel over parallel chunks, passing each chunk its
@@ -426,6 +445,28 @@ mod tests {
             gated.apply_1q(*q, m);
         }
         assert_eq!(walled.amps, gated.amps, "wall vs per-gate application");
+    }
+
+    #[test]
+    fn rx_all_is_bit_identical_to_one_rx_per_qubit() {
+        // 15 and 17 qubits put one and three qubits above the PAR_GRAIN
+        // chunk, where the wall runs as whole-state sweeps
+        for n in [1, 2, 7, 15, 17] {
+            let mut wall = StateVector::plus_state(n);
+            if n > 1 {
+                wall.rzz(0, n - 1, 0.4);
+            }
+            wall.rz(n / 2, 1.1);
+            let mut each = wall.clone();
+            wall.rx_all(0.83);
+            for q in 0..n {
+                each.apply_1q(q, &gates::rx_matrix(0.83));
+            }
+            let bits = |s: &StateVector| -> Vec<(u64, u64)> {
+                s.amplitudes().iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect()
+            };
+            assert!(bits(&wall) == bits(&each), "n = {n}");
+        }
     }
 
     /// Cross-check the parallel block decomposition against the sequential
